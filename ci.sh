@@ -17,8 +17,7 @@
 #                                   no timing in solver hot loops)
 #   4. workspace tests              includes the lint self-test (mutant
 #                                   fixtures flagged + clean tree passes)
-#                                   and the certified-unchecked bit-identity
-#                                   property suite
+#                                   and the R0-order bit-identity suites
 #   5. fault-injection suite        deterministic failure-path proofs
 #   6. crash-recovery suite         SIGKILL + resume bit-identity
 #   7. coordinator recovery suite   real spawned worker processes:
@@ -29,26 +28,13 @@
 #                                   binary: cold solve, warm cache hit,
 #                                   over-budget typed reject (exit 2),
 #                                   clean shutdown
-#   9. feature matrix (FEATURE_GATE) cargo test under the cargo-feature
-#                                   combinations (certified-unchecked,
-#                                   simd, both) whose defaults the other
-#                                   stages don't exercise — every combo
-#                                   is pinned bit-identical
-#  10. cargo doc -D warnings        rustdoc integrity
-#  11. sanitizers (SAN_GATE)        Miri over the kernel unit suites and
+#   9. cargo doc -D warnings        rustdoc integrity
+#  10. sanitizers (SAN_GATE)        Miri over the kernel unit suites and
 #                                   ThreadSanitizer over the concurrency
 #                                   models — nightly-only; auto-skipped
 #                                   with a notice when the toolchain
 #                                   lacks them (offline containers)
-#  12. smoke-bench perf gate        noise-aware wall-clock regression gate
-#
-# FEATURE_GATE mirrors BENCH_GATE/SAN_GATE:
-#   auto       test the combos not already covered by other stages:
-#              certified-unchecked, simd, certified-unchecked+simd
-#              (default covered by stage 4, fault-inject by stages 5-7)
-#   all        every combo including default and fault-inject — what the
-#              CI feature-matrix job proves, one runner per combo
-#   off        skip the feature-matrix stage
+#  11. smoke-bench perf gate        noise-aware wall-clock regression gate
 #
 # SAN_GATE mirrors BENCH_GATE:
 #   auto       run each sanitizer iff the nightly toolchain supports it
@@ -77,7 +63,6 @@ cd "$(dirname "$0")"
 
 BENCH_GATE="${BENCH_GATE:-baseline}"
 SAN_GATE="${SAN_GATE:-auto}"
-FEATURE_GATE="${FEATURE_GATE:-auto}"
 BENCH_REL_FLOOR="${BENCH_REL_FLOOR:-0.5}"
 BASELINE_DIR=results/baseline
 
@@ -211,52 +196,6 @@ grep -q "shut down cleanly" "$OVER_DIR/serve.out"
 grep -q "shed" "$OVER_DIR/serve.out"
 rm -rf "$OVER_DIR"
 echo "-- serve overload + drain: typed shed (2), retry recovery, drain refusal (1), clean exit"
-
-# One cargo-feature combination across the three feature-bearing crates.
-# tropical only has `simd`, so its feature list is the intersection.
-run_feature_combo() {
-    local combo="$1"
-    echo "-- feature combo: ${combo:-default}"
-    case ",$combo," in
-    *",simd,"*)
-        cargo test -p tropical --features simd --offline -q
-        ;;
-    *)
-        cargo test -p tropical --offline -q
-        ;;
-    esac
-    if [ -n "$combo" ]; then
-        cargo test -p bpmax --features "$combo" --offline -q
-        cargo test -p bpmax-cli --features "$combo" --offline -q
-    else
-        cargo test -p bpmax --offline -q
-        cargo test -p bpmax-cli --offline -q
-    fi
-}
-
-case "$FEATURE_GATE" in
-off)
-    echo "== feature matrix skipped (FEATURE_GATE=off) =="
-    ;;
-auto)
-    echo "== feature matrix (FEATURE_GATE=auto) =="
-    run_feature_combo "certified-unchecked"
-    run_feature_combo "simd"
-    run_feature_combo "certified-unchecked,simd"
-    ;;
-all)
-    echo "== feature matrix (FEATURE_GATE=all) =="
-    run_feature_combo ""
-    run_feature_combo "certified-unchecked"
-    run_feature_combo "simd"
-    run_feature_combo "certified-unchecked,simd"
-    run_feature_combo "fault-inject"
-    ;;
-*)
-    echo "ci.sh: unknown FEATURE_GATE '$FEATURE_GATE' (auto|all|off)" >&2
-    exit 2
-    ;;
-esac
 
 echo "== cargo doc (deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q

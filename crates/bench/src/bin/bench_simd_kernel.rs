@@ -12,12 +12,8 @@
 //!    max-plus instance (`R0Order::SimdReg`) versus the cache-tiled
 //!    order — the trajectory point the acceptance gate pins.
 //! 3. **Bit-identity.** Every R0 order agrees on the dmp checksum and
-//!    all six program versions (SIMD on *and* off) agree with the
-//!    memoized specification oracle — asserted at runtime, every run.
-//!
-//! The lane-array kernels are always compiled; the `simd` cargo feature
-//! only flips the solve-path default, so this binary measures the same
-//! code under any feature set.
+//!    all six program versions agree with the memoized specification
+//!    oracle — asserted at runtime, every run.
 
 use bench::dmp::{dmp_flops, dmp_solve};
 use bench::report::Reporter;
@@ -27,7 +23,7 @@ use bpmax::kernels::{R0Order, Tile};
 use bpmax::spec::spec_score;
 use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
 use std::time::Instant;
-use tropical::scalar::mp_axpy_scalar;
+use tropical::scalar::mp_axpy;
 use tropical::simd::{mp_axpy4, mp_axpy_lanes};
 
 /// Deterministic fill in `[-60, 65)` (same family as the dmp seeding).
@@ -98,7 +94,6 @@ fn main() {
         ("naive", R0Order::Naive),
         ("permuted", R0Order::Permuted),
         ("cache-tiled", R0Order::Tiled(Tile::small())),
-        ("reg-tiled", R0Order::RegTiled),
         ("simd-reg", R0Order::SimdReg),
     ];
     let reference = dmp_solve(8, 9, orders[0].1, Layout::Packed);
@@ -115,26 +110,23 @@ fn main() {
         orders.len()
     );
 
-    // --- runtime bit-identity: all six program versions vs the oracle,
-    //     with the SIMD path forced on and forced off ---
+    // --- runtime bit-identity: all six program versions vs the oracle ---
     let (s1, s2) = workload(opts.seed, 9, 10);
     let oracle = spec_score(&s1, &s2, &model());
     let p = BpMaxProblem::new(s1, s2, model());
     for &alg in Algorithm::ALL {
-        for simd_on in [true, false] {
-            let solution = p
-                .solve_opts(&SolveOptions::new().algorithm(alg).simd(simd_on))
-                .expect("solve failed");
-            assert_eq!(
-                solution.score().to_bits(),
-                oracle.to_bits(),
-                "{} (simd={simd_on}) diverges from the memoized oracle",
-                alg.label()
-            );
-        }
+        let solution = p
+            .solve_opts(&SolveOptions::new().algorithm(alg))
+            .expect("solve failed");
+        assert_eq!(
+            solution.score().to_bits(),
+            oracle.to_bits(),
+            "{} diverges from the memoized oracle",
+            alg.label()
+        );
     }
     println!(
-        "bit-identity: all {} algorithms x simd on/off match the memoized oracle",
+        "bit-identity: all {} algorithms match the memoized oracle",
         Algorithm::ALL.len()
     );
 
@@ -157,7 +149,7 @@ fn main() {
     for &len in &[512usize, 1024, 2048] {
         let iters1 = ((budget / (2 * len as u64)).max(1)) as usize;
         let iters4 = ((budget / (8 * len as u64)).max(1)) as usize;
-        let g_scalar = stream_single(len, iters1, mp_axpy_scalar);
+        let g_scalar = stream_single(len, iters1, mp_axpy);
         let g_lanes = stream_single(len, iters1, mp_axpy_lanes);
         let (g_axpy4, _) = stream_axpy4(len, iters4);
         rep.measured_gflops(format!("measured/scalar-axpy/len={len}"), g_scalar);
@@ -176,27 +168,19 @@ fn main() {
 
     // --- solve-level: the kernel inside the triangular dmp instance ---
     println!("\n--- measured dmp solve, 1 thread (GFLOPS) ---");
-    let mut t = Table::new(&[
-        "M=N",
-        "cache-tiled",
-        "reg-tiled",
-        "simd-reg",
-        "simd/cache-tiled",
-    ]);
+    let mut t = Table::new(&["M=N", "cache-tiled", "simd-reg", "simd/cache-tiled"]);
     for &n in &opts.sizes {
         let flops = dmp_flops(n, n);
         let reps = opts.reps(if n <= 24 { 3 } else { 1 });
         let s_tiled = time_stats(reps, || {
             dmp_solve(n, n, R0Order::Tiled(Tile::small()), Layout::Packed)
         });
-        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::RegTiled, Layout::Packed));
         let s_simd = time_stats(reps, || dmp_solve(n, n, R0Order::SimdReg, Layout::Packed));
         rep.measured(
             format!("measured/dmp-tiled/m={n},n={n}"),
             s_tiled,
             Some(flops),
         );
-        rep.measured(format!("measured/dmp-reg/m={n},n={n}"), s_reg, Some(flops));
         rep.measured(
             format!("measured/dmp-simd/m={n},n={n}"),
             s_simd,
@@ -206,7 +190,6 @@ fn main() {
         t.row(vec![
             n.to_string(),
             f2(gflops(flops, s_tiled.median_s)),
-            f2(gflops(flops, s_reg.median_s)),
             f2(gflops(flops, s_simd.median_s)),
             f2(s_tiled.median_s / s_simd.median_s),
         ]);

@@ -3,16 +3,15 @@
 //! The paper's conclusion: "the double max-plus operation remains
 //! bandwidth-bound even after tiling... an additional level of tiling at
 //! the register level is required to make the program compute-bound."
-//! `bpmax::kernels::r0_instance_reg` implements it: the `k2` loop is
-//! unrolled 4×, so four fused updates share one load/store of the
-//! accumulator row — arithmetic intensity rises from 1/6 to ~1/3
+//! `R0Order::SimdReg` implements it: the `k2` loop is unrolled 4× through
+//! the lane-array `mp_axpy4`, so four fused updates share one load/store
+//! of the accumulator row — arithmetic intensity rises from 1/6 to ~1/3
 //! FLOP/byte, doubling the bandwidth-roof ceiling.
 //!
-//! This is no longer future work: the headline *measurement* of the
-//! explicitly vectorized kernel (lane-array `mp_axpy4`, `R0Order::SimdReg`,
-//! runtime bit-identity assertions) lives in `bench_simd_kernel`. This
-//! binary is kept as the roofline-model view plus the LLVM-autovectorized
-//! comparison column.
+//! The headline *measurement* of that kernel (runtime bit-identity
+//! assertions, stream-level GFLOPS) lives in `bench_simd_kernel`. This
+//! binary is kept as the roofline-model view next to the permuted and
+//! cache-tiled orders.
 
 use bench::dmp::{dmp_flops, dmp_solve};
 use bench::report::Reporter;
@@ -48,8 +47,8 @@ fn main() {
         "M=N",
         "permuted",
         "cache-tiled",
-        "reg-unrolled",
-        "reg/permuted",
+        "simd-reg",
+        "simd-reg/permuted",
     ]);
     for &n in &opts.sizes {
         let flops = dmp_flops(n, n);
@@ -58,7 +57,7 @@ fn main() {
         let s_tiled = time_stats(reps, || {
             dmp_solve(n, n, R0Order::Tiled(Tile::small()), Layout::Packed)
         });
-        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::RegTiled, Layout::Packed));
+        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::SimdReg, Layout::Packed));
         rep.measured(
             format!("measured/permuted/m={n},n={n}"),
             s_perm,
@@ -69,11 +68,7 @@ fn main() {
             s_tiled,
             Some(flops),
         );
-        rep.measured(
-            format!("measured/reg-unrolled/m={n},n={n}"),
-            s_reg,
-            Some(flops),
-        );
+        rep.measured(format!("measured/simd-reg/m={n},n={n}"), s_reg, Some(flops));
         rep.annotate(&[("speedup_vs_permuted", s_perm.median_s / s_reg.median_s)]);
         t.row(vec![
             n.to_string(),

@@ -60,7 +60,7 @@ fn main() {
         "naive GFLOPS",
         "permuted GFLOPS",
         "tiled GFLOPS",
-        "reg-tiled GFLOPS",
+        "simd-reg GFLOPS",
         "perm/naive",
     ]);
     for &n in &opts.sizes {
@@ -71,7 +71,7 @@ fn main() {
         let s_tiled = time_stats(reps, || {
             dmp_solve(n, n, R0Order::Tiled(Tile::small()), Layout::Packed)
         });
-        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::RegTiled, Layout::Packed));
+        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::SimdReg, Layout::Packed));
         let (t_naive, t_perm) = (s_naive.median_s, s_perm.median_s);
         rep.measured(format!("measured/naive/m={n},n={n}"), s_naive, Some(flops));
         rep.measured(
@@ -85,11 +85,7 @@ fn main() {
             s_tiled,
             Some(flops),
         );
-        rep.measured(
-            format!("measured/reg-tiled/m={n},n={n}"),
-            s_reg,
-            Some(flops),
-        );
+        rep.measured(format!("measured/simd-reg/m={n},n={n}"), s_reg, Some(flops));
         t.row(vec![
             n.to_string(),
             f2(gflops(flops, t_naive)),

@@ -306,7 +306,7 @@ fn bench_simd_kernel_runs_and_asserts_bit_identity() {
         &["--smoke", "--sizes", "10,12", "--reps", "2"],
     );
     assert!(
-        out.contains("all 5 R0 orders agree on the dmp checksum"),
+        out.contains("all 4 R0 orders agree on the dmp checksum"),
         "{out}"
     );
     assert!(out.contains("match the memoized oracle"), "{out}");
@@ -321,7 +321,7 @@ fn future_work_binaries_run() {
         "future_register_tiling",
         &["--sizes", "16"],
     );
-    assert!(out.contains("reg-unrolled"));
+    assert!(out.contains("simd-reg"));
     let out = run(
         env!("CARGO_BIN_EXE_future_mpi_cluster"),
         "future_mpi_cluster",

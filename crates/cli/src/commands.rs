@@ -8,7 +8,7 @@
 
 use bpmax::batch::{BatchEngine, BatchOptions};
 use bpmax::coordinator;
-use bpmax::kernels::{Ctx, Tile};
+use bpmax::kernels::Ctx;
 use bpmax::serve::{Client, Response, RetryPolicy, Server, ServerConfig, SolveRequest};
 use bpmax::windowed::scan_ranked;
 use bpmax::{Algorithm, BpMaxError, BpMaxProblem, ComputeProfile};
@@ -21,17 +21,17 @@ use std::path::{Path, PathBuf};
 pub(crate) const USAGE: &str = "usage:
   bpmax-cli fold <seq> [--min-loop K]
   bpmax-cli interact <seq1> <seq2> [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled]
-                     [--min-loop K] [--simd | --no-simd]
+                     [--min-loop K]
   bpmax-cli scan <query> <target> [--window W] [--top K] [--batch] [--threads T]
                  [--deadline SECS] [--mem-budget BYTES] [--workers N]
-                 [--checkpoint-dir DIR] [--resume] [--simd | --no-simd]
+                 [--checkpoint-dir DIR] [--resume]
   bpmax-cli serve --socket PATH [--threads T] [--mem-budget BYTES]
                   [--max-seconds S] [--cache-dir DIR] [--cache-mem BYTES]
                   [--read-timeout S] [--max-inflight N] [--queue-depth N]
                   [--queue-wait S] [--drain-timeout S]
   bpmax-cli client --socket PATH solve <seq1> <seq2>
                    [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled]
-                   [--min-loop K] [--simd | --no-simd]
+                   [--min-loop K]
                    [--mem-budget BYTES] [--degrade]
                    [--deadline S] [--retries N]
   bpmax-cli client --socket PATH stats
@@ -68,11 +68,8 @@ failed window (exit 3). The merged ranking is bit-identical to a
 single-process run. --workers conflicts with --resume: the ledger is
 recreated fresh each run.
 
---simd / --no-simd override the build default for the explicitly
-vectorized lane-array kernels (the hybrid+tiled algorithm's SimdReg
-path). Both paths are always compiled and bit-identical — the flags
-change speed, never scores. The default follows the `simd` cargo
-feature. For scan, the flags apply only with --batch.
+--alg defaults to permuted, the fastest measured version; every version
+computes bit-identical scores.
 
 serve runs a resident solve daemon on a Unix socket: one warm batch
 engine (hot block-pool arenas) answers every client request, results are
@@ -298,40 +295,19 @@ fn cmd_fold(mut args: Vec<String>) -> Result<String, CliError> {
     Ok(out.trim_end().to_string())
 }
 
-/// Parse the tri-state `--simd` / `--no-simd` override. `None` keeps
-/// the build default (the `simd` cargo feature).
-fn take_simd(args: &mut Vec<String>) -> Result<Option<bool>, CliError> {
-    let on = take_flag(args, "--simd");
-    let off = take_flag(args, "--no-simd");
-    if on && off {
-        return Err(usage("--simd and --no-simd are mutually exclusive"));
-    }
-    Ok(match (on, off) {
-        (true, _) => Some(true),
-        (_, true) => Some(false),
-        _ => None,
-    })
-}
-
 fn cmd_interact(mut args: Vec<String>) -> Result<String, CliError> {
     let model = model_with_min_loop(&mut args)?;
-    let alg = match take_opt(&mut args, "--alg")? {
-        Some(name) => name.parse::<Algorithm>()?,
-        None => Algorithm::HybridTiled {
-            tile: Tile::default(),
-        },
-    };
-    let simd = take_simd(&mut args)?;
+    let mut solve = bpmax::SolveOptions::new();
+    if let Some(name) = take_opt(&mut args, "--alg")? {
+        solve = solve.algorithm(name.parse::<Algorithm>()?);
+    }
+    let alg = solve.profile().resolved_algorithm()?;
     let [a1, a2] = args.as_slice() else {
         return Err(usage("interact takes exactly two sequences"));
     };
     let s1 = load_seq(a1)?;
     let s2 = load_seq(a2)?;
     let problem = BpMaxProblem::new(s1.clone(), s2.clone(), model);
-    let mut solve = bpmax::SolveOptions::new().algorithm(alg);
-    if let Some(on) = simd {
-        solve = solve.simd(on);
-    }
     let solution = problem.solve_opts(&solve)?;
     let st = solution.traceback();
     st.validate(s1.len(), s2.len())
@@ -390,7 +366,6 @@ struct BatchArgs {
     mem_budget: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
-    simd: Option<bool>,
     workers: Option<usize>,
 }
 
@@ -404,7 +379,6 @@ impl BatchArgs {
             .transpose()?;
         let checkpoint_dir = take_opt(args, "--checkpoint-dir")?.map(PathBuf::from);
         let resume = take_flag(args, "--resume");
-        let simd = take_simd(args)?;
         let workers = take_opt(args, "--workers")?
             .map(|v| match v.parse::<usize>() {
                 Ok(n) if n >= 1 => Ok(n),
@@ -423,7 +397,6 @@ impl BatchArgs {
                 checkpoint_dir.is_some() || resume,
                 "--checkpoint-dir/--resume",
             ),
-            (simd.is_some(), "--simd/--no-simd"),
             (workers.is_some(), "--workers"),
         ];
         if !batch {
@@ -449,7 +422,6 @@ impl BatchArgs {
             mem_budget,
             checkpoint_dir,
             resume,
-            simd,
             workers,
         })
     }
@@ -544,9 +516,6 @@ fn scan_batched(
     let mut opts = BatchOptions::new();
     if let Some(t) = sup.threads {
         opts = opts.threads(t);
-    }
-    if let Some(on) = sup.simd {
-        opts = opts.solve(bpmax::SolveOptions::new().simd(on));
     }
     if let Some(d) = sup.deadline {
         opts = opts.deadline(d);
@@ -822,7 +791,6 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
             let alg = take_opt(&mut args, "--alg")?
                 .map(|name| name.parse::<Algorithm>())
                 .transpose()?;
-            let simd = take_simd(&mut args)?;
             let mem_budget = take_opt(&mut args, "--mem-budget")?
                 .map(|v| parse_bytes(&v))
                 .transpose()?;
@@ -845,9 +813,6 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
             let mut profile = ComputeProfile::new();
             if let Some(alg) = alg {
                 profile = profile.algorithm(alg);
-            }
-            if let Some(on) = simd {
-                profile = profile.simd(on);
             }
             let mut req = SolveRequest::new(s1, s2, model)
                 .profile(profile)
@@ -1188,16 +1153,10 @@ mod tests {
     }
 
     #[test]
-    fn interact_simd_flags_bit_identical() {
-        // Both SIMD modes are always compiled; the flags pick one per run
-        // and the rendered output (scores included) must not change.
-        let on = run(&["interact", "GGGAAACCC", "UUU", "--simd"]).unwrap();
-        let off = run(&["interact", "GGGAAACCC", "UUU", "--no-simd"]).unwrap();
-        let default = run(&["interact", "GGGAAACCC", "UUU"]).unwrap();
-        assert_eq!(on, off);
-        assert_eq!(on, default);
-        let err = run(&["interact", "GGG", "CCC", "--simd", "--no-simd"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    fn interact_defaults_to_the_permuted_version() {
+        let out = run(&["interact", "GGGAAACCC", "UUU"]).unwrap();
+        assert!(out.contains("algorithm: permuted"), "{out}");
+        assert!(out.contains("interaction score: 15"), "{out}");
     }
 
     #[test]
@@ -1257,26 +1216,6 @@ mod tests {
         assert!(out.contains("batch engine:"), "{out}");
         let err = run(&["scan", "GGG", "CCC", "--threads", "2"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
-    }
-
-    #[test]
-    fn scan_batch_simd_flags() {
-        let base = &["scan", "GGG", "CCCAAACCC", "--window", "3", "--batch"];
-        let mut on = base.to_vec();
-        on.push("--simd");
-        let mut off = base.to_vec();
-        off.push("--no-simd");
-        let out_on = run(&on).unwrap();
-        let out_off = run(&off).unwrap();
-        let results = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.starts_with("top "))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(results(&out_on), results(&out_off));
-        let err = run(&["scan", "GGG", "CCC", "--simd"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
     }
 
     #[test]
@@ -1447,11 +1386,9 @@ mod tests {
             &["scan", "GGG", "CCC", "--mem-budget", "1M"],
             &["scan", "GGG", "CCC", "--checkpoint-dir", "/tmp/x"],
             &["scan", "GGG", "CCC", "--resume"],
-            &["scan", "GGG", "CCC", "--simd"],
             &["scan", "GGG", "CCC", "--workers", "2"],
             // pair-wise constraints
             &["scan", "GGG", "CCC", "--batch", "--resume"],
-            &["scan", "GGG", "CCC", "--batch", "--simd", "--no-simd"],
             &[
                 "scan",
                 "GGG",
@@ -1508,16 +1445,6 @@ mod tests {
                 "CCC",
                 "--mem-budget",
                 "lots",
-            ],
-            &[
-                "client",
-                "--socket",
-                "/tmp/s.sock",
-                "solve",
-                "GGG",
-                "CCC",
-                "--simd",
-                "--no-simd",
             ],
             &[
                 "client",

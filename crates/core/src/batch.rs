@@ -119,8 +119,8 @@ impl Default for BatchOptions {
 }
 
 impl BatchOptions {
-    /// Defaults (host-parallelism threads, [`Policy::Auto`], champion
-    /// algorithm).
+    /// Defaults (host-parallelism threads, [`Policy::Auto`], the default
+    /// [`SolveOptions`] algorithm).
     pub fn new() -> Self {
         Self::default()
     }
@@ -191,8 +191,13 @@ impl BatchOptions {
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         // algorithm / tile / layout: the shared ComputeProfile rule, the
-        // same bytes the serve result-cache key hashes
-        self.solve.profile().fingerprint_into(&mut h);
+        // same bytes the serve result-cache key hashes. An invalid profile
+        // (a zero tile dimension) hashes as a marker no valid one
+        // produces: no engine or daemon runs it, so its key matches nothing.
+        match self.solve.resolved_algorithm() {
+            Ok(alg) => self.solve.profile().fingerprint_into(alg, &mut h),
+            Err(_) => h.write(b"invalid profile"),
+        }
         // memory budgets and degradation decide exact-vs-windowed scores
         h.write_u64(self.mem_budget.unwrap_or(u64::MAX));
         h.write(&[u8::from(self.degrade)]);
@@ -765,12 +770,10 @@ impl BatchEngine {
                 }
                 panic!("injected fault: compute panic at problem {index}"); // lint: allow(panic): deliberate injected fault (fault-inject harness)
             }
-            let modes = solve.resolved_kernel_modes();
             if coarse {
-                problem
-                    .compute_serial_watched_range(algorithm, &mut f, start_diag, m, &watch, modes)
+                problem.compute_serial_watched_range(algorithm, &mut f, start_diag, m, &watch)
             } else {
-                problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch, modes)
+                problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch)
             }
         }));
         match run {
@@ -1107,7 +1110,7 @@ mod tests {
         assert_ne!(
             fp,
             base.clone()
-                .solve(SolveOptions::new().algorithm(Algorithm::Permuted))
+                .solve(SolveOptions::new().algorithm(Algorithm::Hybrid))
                 .fingerprint()
         );
         assert_ne!(fp, base.clone().mem_budget(1 << 20).fingerprint());
@@ -1160,7 +1163,7 @@ mod tests {
         let other = BatchEngine::new(
             BatchOptions::new()
                 .threads(1)
-                .solve(SolveOptions::new().algorithm(Algorithm::Permuted)),
+                .solve(SolveOptions::new().algorithm(Algorithm::Hybrid)),
         )
         .unwrap();
         let err = other.resume(&problems, &dir).unwrap_err();
@@ -1243,13 +1246,12 @@ mod tests {
 
     #[test]
     fn bad_tile_fails_at_engine_construction() {
-        let err = BatchEngine::new(BatchOptions::new().solve(SolveOptions::new().tile(
-            crate::kernels::Tile {
-                i2: 0,
-                k2: 1,
-                j2: 1,
-            },
-        )))
+        let tiled = SolveOptions::new().algorithm("hybrid-tiled".parse().unwrap());
+        let err = BatchEngine::new(BatchOptions::new().solve(tiled.tile(crate::kernels::Tile {
+            i2: 0,
+            k2: 1,
+            j2: 1,
+        })))
         .err()
         .expect("bad tile must fail");
         assert!(matches!(err, BpMaxError::BadTile { .. }), "{err}");

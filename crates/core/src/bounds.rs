@@ -74,7 +74,7 @@ const ROW_MAJOR_LEMMA: &str =
      linearize below the product of the dims (exhaustive test: memmap_row_major_lemma)";
 
 /// The `R0` naive order: `(i2, j2, k2)`, reduction innermost
-/// (`r0_instance_naive`).
+/// (`r0_row_naive`, the row body of every Phase A driver).
 fn spec_r0_naive() -> KernelSpec {
     let domain = Domain::universe(&["i2", "j2", "k2"])
         .ge0(v("i2"))
@@ -99,7 +99,7 @@ fn spec_r0_naive() -> KernelSpec {
 }
 
 /// The `R0` permuted order: `(i2, k2, j2)`, streaming column loop
-/// innermost (`r0_instance_permuted` and the per-row parallel body).
+/// innermost (`r0_row_permuted`, the row body of every Phase A driver).
 fn spec_r0_permuted() -> KernelSpec {
     let domain = Domain::universe(&["i2", "k2", "j2"])
         .ge0(v("i2"))
@@ -140,8 +140,9 @@ fn spec_r0_permuted() -> KernelSpec {
     }
 }
 
-/// The tiled `R0` row band (`r0_row_band_tiled`, driven by
-/// `r0_instance_tiled` and the coarse/fine drivers). Tile origins are
+/// The tiled `R0` row band (`r0_row_band_tiled`, the band body of every
+/// Phase A driver: the whole triangle serially, one `i2` tile per
+/// fine-grain task). Tile origins are
 /// relaxed (see module docs); tile sizes `TI`, `TK`, `TJ` are parameters.
 fn spec_r0_tiled() -> KernelSpec {
     let domain = Domain::universe(&["i2lo", "i2", "k2lo", "k2", "j2lo", "j2", "j2hi"])
@@ -202,7 +203,7 @@ fn spec_r0_tiled() -> KernelSpec {
     }
 }
 
-/// Head phase of the `k2`-unrolled register kernel (`r0_row_reg`):
+/// Head phase of the `k2`-unrolled register kernel (`r0_row_simd`):
 /// columns `j2 ∈ (k2+lane, k2+4)` reachable only by the group's earlier
 /// lanes. The group start `k2` is relaxed to any `k2 ≥ i2` with
 /// `k2 + 4 ≤ N − 1`.
@@ -217,8 +218,8 @@ fn spec_r0_reg_head() -> KernelSpec {
         .lt(v("j2"), v("k2") + c(4))
         .lt(v("j2"), v("N"));
     KernelSpec {
-        name: "r0_row_reg/head".into(),
-        doc: "register-unrolled R0, head: lanes 0..3 cover the ragged columns before the \
+        name: "r0_row_simd/head".into(),
+        doc: "register-tiled R0, head: lanes 0..3 cover the ragged columns before the \
               shared range"
             .into(),
         params: vec!["N".into()],
@@ -244,7 +245,8 @@ fn spec_r0_reg_head() -> KernelSpec {
 }
 
 /// Body phase of the register kernel: all four lanes over the shared
-/// column range `[k2+4, N)`.
+/// column range `[k2+4, N)` (one `mp_axpy4` over the lane slices
+/// `b{lane}[3 − lane..]` and `crow[k2 + 4 − i2..]`).
 fn spec_r0_reg_body() -> KernelSpec {
     let domain = Domain::universe(&["i2", "k2", "lane", "j2"])
         .ge0(v("i2"))
@@ -255,8 +257,8 @@ fn spec_r0_reg_body() -> KernelSpec {
         .ge0(v("j2") - v("k2") - c(4))
         .lt(v("j2"), v("N"));
     KernelSpec {
-        name: "r0_row_reg/body".into(),
-        doc: "register-unrolled R0, body: four fused updates per pass over [k2+4, N)".into(),
+        name: "r0_row_simd/body".into(),
+        doc: "register-tiled R0, body: four fused updates per pass over [k2+4, N)".into(),
         params: vec!["N".into()],
         domain,
         accesses: vec![
@@ -283,8 +285,8 @@ fn spec_r0_reg_body() -> KernelSpec {
 /// `< 4` remainder — the same shape as the permuted order.
 fn spec_r0_reg_tail() -> KernelSpec {
     KernelSpec {
-        name: "r0_row_reg/tail".into(),
-        doc: "register-unrolled R0, tail: streaming remainder (permuted shape)".into(),
+        name: "r0_row_simd/tail".into(),
+        doc: "register-tiled R0, tail: streaming remainder (permuted shape)".into(),
         ..spec_r0_permuted()
     }
 }
@@ -576,9 +578,9 @@ mod tests {
             "r0_instance_naive",
             "r0_instance_permuted",
             "r0_row_band_tiled",
-            "r0_row_reg/head",
-            "r0_row_reg/body",
-            "r0_row_reg/tail",
+            "r0_row_simd/head",
+            "r0_row_simd/body",
+            "r0_row_simd/tail",
             "r3_r4_block",
             "finalize_triangle/cell",
             "finalize_triangle/pair2",

@@ -24,8 +24,7 @@ use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, Layout};
 use crate::kernels::{
-    accumulate_r034_parallel_mode, accumulate_r034_serial_mode, finalize_triangle, BoundsMode, Ctx,
-    KernelModes, R0Order, SimdMode, Tile,
+    accumulate_r034_parallel, accumulate_r034_serial, finalize_triangle, Ctx, R0Order, Tile,
 };
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
@@ -49,7 +48,7 @@ pub enum Algorithm {
     /// Phase III hybrid: fine-grain `R0`/`R3`/`R4` + coarse-grain
     /// finalization.
     Hybrid,
-    /// Phase III hybrid with the tiled double max-plus (the champion).
+    /// Phase III hybrid with the tiled double max-plus.
     HybridTiled {
         /// Tile shape for the `R0` matrix instances.
         tile: Tile,
@@ -84,14 +83,9 @@ impl Algorithm {
     }
 
     /// The `R0` loop order this version runs (tile shape included).
-    /// Under [`SimdMode::LaneArray`] the tiled version upgrades to the
-    /// explicitly vectorized register-tiled order — the other versions
-    /// keep their streaming order (whose `mp_axpy` the `simd` feature
-    /// routes through the lane kernels at compile time).
-    fn r0_order(self, simd: SimdMode) -> R0Order {
-        match (self, simd) {
-            (Algorithm::HybridTiled { .. }, SimdMode::LaneArray) => R0Order::SimdReg,
-            (Algorithm::HybridTiled { tile }, SimdMode::Scalar) => R0Order::Tiled(tile),
+    fn r0_order(self) -> R0Order {
+        match self {
+            Algorithm::HybridTiled { tile } => R0Order::Tiled(tile),
             _ => R0Order::Permuted,
         }
     }
@@ -144,34 +138,29 @@ impl FromStr for Algorithm {
 /// solve": [`SolveOptions`] (solo solves), [`crate::batch::BatchOptions`]
 /// (the engine), the checkpoint options fingerprint, and the serve wire
 /// requests all embed this one type instead of hand-syncing copies of the
-/// same five knobs.
+/// same three knobs.
 ///
-/// Holds the program version plus the four overrides (tile, layout,
-/// bounds, SIMD). Everything *score-affecting* lives here — thread
-/// counts, deadlines and scheduling policy deliberately do not, which is
-/// why the result cache can key on a profile fingerprint and stay valid
-/// across machine shapes.
+/// Holds the program version plus two overrides (tile, layout).
+/// Everything *score-affecting* lives here — thread counts, deadlines and
+/// scheduling policy deliberately do not, which is why the result cache
+/// can key on a profile fingerprint and stay valid across machine shapes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ComputeProfile {
     algorithm: Algorithm,
     tile: Option<Tile>,
     layout: Option<Layout>,
-    bounds: Option<BoundsMode>,
-    simd: Option<SimdMode>,
 }
 
 impl Default for ComputeProfile {
-    /// The champion configuration: hybrid+tiled with the default tile,
-    /// problem's layout, build-default kernel modes.
+    /// The fastest measured configuration: the serial loop-permuted
+    /// version ([`Algorithm::Permuted`]) on the problem's layout. In a
+    /// paired A/B on a 2-core host it beat `HybridTiled` in 20 of 20
+    /// pairs at 32×96 and in 40 of 40 at 16×32.
     fn default() -> Self {
         ComputeProfile {
-            algorithm: Algorithm::HybridTiled {
-                tile: Tile::DEFAULT,
-            },
+            algorithm: Algorithm::Permuted,
             tile: None,
             layout: None,
-            bounds: None,
-            simd: None,
         }
     }
 }
@@ -189,8 +178,8 @@ impl ComputeProfile {
         self
     }
 
-    /// Override the tile shape. Applies when the algorithm is (or
-    /// defaults to) the tiled version; ignored otherwise.
+    /// Override the tile shape. Applies when the algorithm is the tiled
+    /// version; ignored otherwise.
     #[must_use]
     pub fn tile(mut self, tile: Tile) -> Self {
         self.tile = Some(tile);
@@ -205,66 +194,16 @@ impl ComputeProfile {
         self
     }
 
-    /// Select the certified-unchecked fast path (`true`) or force safe
-    /// indexing (`false`) in the Phase A kernels, overriding the build
-    /// default ([`BoundsMode::build_default`] — checked unless the
-    /// `certified-unchecked` feature is on). Results are bit-identical
-    /// either way; this is purely a performance knob, backed by the
-    /// in-bounds certificates of [`crate::bounds`].
-    #[must_use]
-    pub fn certified_unchecked(mut self, on: bool) -> Self {
-        self.bounds = Some(if on {
-            BoundsMode::CertifiedUnchecked
-        } else {
-            BoundsMode::Checked
-        });
-        self
-    }
-
-    /// Select the explicitly vectorized SIMD kernels (`true`) or the
-    /// auto-vectorized scalar loops (`false`) for the hybrid+tiled `R0`
-    /// path, overriding the build default ([`SimdMode::build_default`] —
-    /// scalar unless the `simd` feature is on). Results are bit-identical
-    /// either way; this is purely a performance knob, pinned by the
-    /// kernel property suites.
-    #[must_use]
-    pub fn simd(mut self, on: bool) -> Self {
-        self.simd = Some(if on {
-            SimdMode::LaneArray
-        } else {
-            SimdMode::Scalar
-        });
-        self
-    }
-
-    /// The algorithm with the tile override folded in, validated.
-    pub(crate) fn resolved_algorithm(&self) -> Result<Algorithm, BpMaxError> {
+    /// The algorithm a solve with this profile runs: the tile override
+    /// folded in, validated (a zero tile dimension is
+    /// [`BpMaxError::BadTile`]).
+    pub fn resolved_algorithm(&self) -> Result<Algorithm, BpMaxError> {
         let alg = match (self.algorithm, self.tile) {
             (Algorithm::HybridTiled { .. }, Some(tile)) => Algorithm::HybridTiled { tile },
             (alg, _) => alg,
         };
         alg.validate()?;
         Ok(alg)
-    }
-
-    /// The bounds mode to solve with (explicit override or the build
-    /// default).
-    pub(crate) fn resolved_bounds_mode(&self) -> BoundsMode {
-        self.bounds.unwrap_or_default()
-    }
-
-    /// The SIMD mode to solve with (explicit override or the build
-    /// default).
-    pub(crate) fn resolved_simd_mode(&self) -> SimdMode {
-        self.simd.unwrap_or_default()
-    }
-
-    /// Both kernel-selection knobs, resolved together.
-    pub(crate) fn resolved_kernel_modes(&self) -> KernelModes {
-        KernelModes {
-            bounds: self.resolved_bounds_mode(),
-            simd: self.resolved_simd_mode(),
-        }
     }
 
     /// The layout to solve with, given the problem's own.
@@ -280,22 +219,8 @@ impl ComputeProfile {
 
     /// The raw knobs, for the serve wire codec (which must round-trip the
     /// profile exactly, overrides-vs-defaults included).
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        Algorithm,
-        Option<Tile>,
-        Option<Layout>,
-        Option<BoundsMode>,
-        Option<SimdMode>,
-    ) {
-        (
-            self.algorithm,
-            self.tile,
-            self.layout,
-            self.bounds,
-            self.simd,
-        )
+    pub(crate) fn parts(&self) -> (Algorithm, Option<Tile>, Option<Layout>) {
+        (self.algorithm, self.tile, self.layout)
     }
 
     /// Rebuild from raw knobs (serve wire decode).
@@ -303,26 +228,22 @@ impl ComputeProfile {
         algorithm: Algorithm,
         tile: Option<Tile>,
         layout: Option<Layout>,
-        bounds: Option<BoundsMode>,
-        simd: Option<SimdMode>,
     ) -> Self {
         ComputeProfile {
             algorithm,
             tile,
             layout,
-            bounds,
-            simd,
         }
     }
 
-    /// Hash the *score-affecting* knobs into `h`: resolved algorithm
-    /// label, tile shape, layout override. The one fingerprint rule shared
-    /// by the checkpoint manifest ([`crate::batch::BatchOptions::fingerprint`])
-    /// and the serve result-cache key. Bounds/SIMD modes are deliberately
-    /// excluded — both paths are proven bit-identical, so caching across
-    /// them is sound.
-    pub(crate) fn fingerprint_into(&self, h: &mut crate::checkpoint::Fnv64) {
-        let alg = self.resolved_algorithm().unwrap_or(Algorithm::Permuted);
+    /// Hash the *score-affecting* knobs into `h`: the resolved algorithm
+    /// `alg` (label and tile shape — the caller validates it first with
+    /// [`ComputeProfile::resolved_algorithm`], so an invalid profile can
+    /// never share another algorithm's key) and the layout override. The
+    /// one fingerprint rule shared by the checkpoint manifest
+    /// ([`crate::batch::BatchOptions::fingerprint`]) and the serve
+    /// result-cache key.
+    pub(crate) fn fingerprint_into(&self, alg: Algorithm, h: &mut crate::checkpoint::Fnv64) {
         h.write(alg.label().as_bytes());
         if let Some(tile) = alg.tile() {
             h.write_u64(tile.i2 as u64);
@@ -409,28 +330,11 @@ impl SolveOptions {
         self
     }
 
-    /// Override the tile shape. Applies when the algorithm is (or
-    /// defaults to) the tiled version; ignored otherwise.
+    /// Override the tile shape. Applies when the algorithm is the tiled
+    /// version; ignored otherwise.
     #[must_use]
     pub fn tile(mut self, tile: Tile) -> Self {
         self.profile = self.profile.tile(tile);
-        self
-    }
-
-    /// Select the certified-unchecked fast path (`true`) or force safe
-    /// indexing (`false`) — see [`ComputeProfile::certified_unchecked`].
-    #[must_use]
-    pub fn certified_unchecked(mut self, on: bool) -> Self {
-        self.profile = self.profile.certified_unchecked(on);
-        self
-    }
-
-    /// Select the explicitly vectorized SIMD kernels (`true`) or the
-    /// auto-vectorized scalar loops (`false`) — see
-    /// [`ComputeProfile::simd`].
-    #[must_use]
-    pub fn simd(mut self, on: bool) -> Self {
-        self.profile = self.profile.simd(on);
         self
     }
 
@@ -484,11 +388,6 @@ impl SolveOptions {
     /// The requested thread count, if any.
     pub(crate) fn requested_threads(&self) -> Option<usize> {
         self.threads
-    }
-
-    /// Both kernel-selection knobs, resolved together.
-    pub(crate) fn resolved_kernel_modes(&self) -> KernelModes {
-        self.profile.resolved_kernel_modes()
     }
 
     /// The layout to solve with, given the problem's own.
@@ -572,7 +471,6 @@ impl BpMaxProblem {
             }
         }
         let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), layout)?;
-        let modes = opts.resolved_kernel_modes();
         match opts.requested_threads() {
             Some(threads) => {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -581,9 +479,9 @@ impl BpMaxProblem {
                     .map_err(|e| BpMaxError::InvalidArgument {
                         detail: format!("building rayon pool of {threads} threads: {e}"),
                     })?;
-                pool.install(|| self.compute_watched(algorithm, &mut f, &watch, modes))
+                pool.install(|| self.compute_watched(algorithm, &mut f, &watch))
             }
-            None => self.compute_watched(algorithm, &mut f, &watch, modes),
+            None => self.compute_watched(algorithm, &mut f, &watch),
         }
         .map_err(Interrupt::into_error)?;
         Ok(Solution { problem: self, f })
@@ -663,9 +561,8 @@ impl BpMaxProblem {
         algorithm: Algorithm,
         f: &mut FTable,
         watch: &Watch,
-        modes: KernelModes,
     ) -> Result<(), Interrupt> {
-        self.compute_watched_range(algorithm, f, 0, self.ctx.m(), watch, modes)
+        self.compute_watched_range(algorithm, f, 0, self.ctx.m(), watch)
     }
 
     /// [`BpMaxProblem::compute_watched`] over outer diagonals
@@ -680,7 +577,6 @@ impl BpMaxProblem {
         start: usize,
         end: usize,
         watch: &Watch,
-        modes: KernelModes,
     ) -> Result<(), Interrupt> {
         let wave = match algorithm {
             Algorithm::Baseline => {
@@ -690,9 +586,9 @@ impl BpMaxProblem {
             Algorithm::CoarseGrain => WaveMode::Coarse(R0Order::Permuted),
             Algorithm::FineGrain => WaveMode::Fine(R0Order::Permuted),
             Algorithm::Hybrid => WaveMode::Hybrid(R0Order::Permuted),
-            Algorithm::HybridTiled { .. } => WaveMode::Hybrid(algorithm.r0_order(modes.simd)),
+            Algorithm::HybridTiled { tile } => WaveMode::Hybrid(R0Order::Tiled(tile)),
         };
-        self.wavefront_range(wave, f, start, end, watch, modes.bounds)
+        self.wavefront_range(wave, f, start, end, watch)
     }
 
     /// Fully serial traversal that keeps `algorithm`'s `R0` loop order,
@@ -708,18 +604,10 @@ impl BpMaxProblem {
         start: usize,
         end: usize,
         watch: &Watch,
-        modes: KernelModes,
     ) -> Result<(), Interrupt> {
         match algorithm {
             Algorithm::Baseline => solve_baseline_watched_range(&self.ctx, f, start, end, watch),
-            other => self.wavefront_range(
-                WaveMode::Serial(other.r0_order(modes.simd)),
-                f,
-                start,
-                end,
-                watch,
-                modes.bounds,
-            ),
+            other => self.wavefront_range(WaveMode::Serial(other.r0_order()), f, start, end, watch),
         }
     }
 
@@ -730,15 +618,8 @@ impl BpMaxProblem {
     pub fn compute_prefix(&self, algorithm: Algorithm, upto: usize) -> Result<FTable, BpMaxError> {
         algorithm.validate()?;
         let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), self.layout)?;
-        self.compute_watched_range(
-            algorithm,
-            &mut f,
-            0,
-            upto,
-            &Watch::none(),
-            KernelModes::build_default(),
-        )
-        .map_err(Interrupt::into_error)?;
+        self.compute_watched_range(algorithm, &mut f, 0, upto, &Watch::none())
+            .map_err(Interrupt::into_error)?;
         Ok(f)
     }
 
@@ -764,15 +645,8 @@ impl BpMaxProblem {
                 ),
             });
         }
-        self.compute_watched_range(
-            algorithm,
-            f,
-            start,
-            self.ctx.m(),
-            &Watch::none(),
-            KernelModes::build_default(),
-        )
-        .map_err(Interrupt::into_error)
+        self.compute_watched_range(algorithm, f, start, self.ctx.m(), &Watch::none())
+            .map_err(Interrupt::into_error)
     }
 
     /// The shared wavefront driver: ascending outer diagonals `start..end`,
@@ -788,7 +662,6 @@ impl BpMaxProblem {
         start: usize,
         end: usize,
         watch: &Watch,
-        bounds: BoundsMode,
     ) -> Result<(), Interrupt> {
         let ctx = &self.ctx;
         let m = ctx.m();
@@ -806,7 +679,7 @@ impl BpMaxProblem {
                     for i1 in 0..m - d1 {
                         let j1 = i1 + d1;
                         let mut acc = f.take_block(i1, j1);
-                        accumulate_r034_serial_mode(ctx, f, i1, j1, &mut acc, order, bounds);
+                        accumulate_r034_serial(ctx, f, i1, j1, &mut acc, order);
                         let prev = prev_block(f, i1, j1);
                         finalize_triangle(ctx, i1, j1, f, prev, &mut acc);
                         f.put_block(i1, j1, acc);
@@ -820,7 +693,7 @@ impl BpMaxProblem {
                         .collect();
                     taken.par_iter_mut().for_each(|(i1, acc)| {
                         let j1 = *i1 + d1;
-                        accumulate_r034_serial_mode(ctx, f, *i1, j1, acc, order, bounds);
+                        accumulate_r034_serial(ctx, f, *i1, j1, acc, order);
                         let prev = prev_block(f, *i1, j1);
                         finalize_triangle(ctx, *i1, j1, f, prev, acc);
                     });
@@ -834,7 +707,7 @@ impl BpMaxProblem {
                     for i1 in 0..m - d1 {
                         let j1 = i1 + d1;
                         let mut acc = f.take_block(i1, j1);
-                        accumulate_r034_parallel_mode(ctx, f, i1, j1, &mut acc, order, bounds);
+                        accumulate_r034_parallel(ctx, f, i1, j1, &mut acc, order);
                         let prev = prev_block(f, i1, j1);
                         finalize_triangle(ctx, i1, j1, f, prev, &mut acc);
                         f.put_block(i1, j1, acc);
@@ -848,7 +721,7 @@ impl BpMaxProblem {
                         .map(|i1| (i1, f.take_block(i1, i1 + d1)))
                         .collect();
                     for (i1, acc) in &mut taken {
-                        accumulate_r034_parallel_mode(ctx, f, *i1, *i1 + d1, acc, order, bounds);
+                        accumulate_r034_parallel(ctx, f, *i1, *i1 + d1, acc, order);
                     }
                     taken.par_iter_mut().for_each(|(i1, acc)| {
                         let j1 = *i1 + d1;
@@ -1135,7 +1008,11 @@ mod tests {
         assert_eq!(sol.ftable().layout(), Layout::Shifted);
         // tile override applies to the tiled version
         let sol = p
-            .solve_opts(&SolveOptions::new().tile(Tile::cubic(2)))
+            .solve_opts(
+                &SolveOptions::new()
+                    .algorithm("hybrid-tiled".parse().unwrap())
+                    .tile(Tile::cubic(2)),
+            )
             .unwrap();
         assert_eq!(sol.score(), want);
     }
@@ -1144,11 +1021,15 @@ mod tests {
     fn solve_opts_rejects_bad_tile() {
         let p = problem("GGAU", "CCA");
         let err = p
-            .solve_opts(&SolveOptions::new().tile(Tile {
-                i2: 0,
-                k2: 4,
-                j2: 4,
-            }))
+            .solve_opts(
+                &SolveOptions::new()
+                    .algorithm("hybrid-tiled".parse().unwrap())
+                    .tile(Tile {
+                        i2: 0,
+                        k2: 4,
+                        j2: 4,
+                    }),
+            )
             .expect_err("bad tile must fail");
         assert!(
             matches!(err, crate::error::BpMaxError::BadTile { .. }),
@@ -1173,15 +1054,11 @@ mod tests {
         let profile = ComputeProfile::new()
             .algorithm(Algorithm::Hybrid)
             .tile(Tile::cubic(3))
-            .layout(Layout::Shifted)
-            .certified_unchecked(false)
-            .simd(false);
+            .layout(Layout::Shifted);
         let via_opts = SolveOptions::new()
             .algorithm(Algorithm::Hybrid)
             .tile(Tile::cubic(3))
-            .layout(Layout::Shifted)
-            .certified_unchecked(false)
-            .simd(false);
+            .layout(Layout::Shifted);
         assert_eq!(*via_opts.profile(), profile);
         assert_eq!(*SolveOptions::from_profile(profile).profile(), profile);
         // threads are not part of the profile (score-neutral)
@@ -1189,20 +1066,32 @@ mod tests {
     }
 
     #[test]
-    fn profile_fingerprint_ignores_kernel_modes_and_threads() {
-        let base = ComputeProfile::new();
+    fn default_profile_is_the_permuted_version() {
+        assert_eq!(
+            ComputeProfile::default().resolved_algorithm().unwrap(),
+            Algorithm::Permuted
+        );
+        assert_eq!(
+            SolveOptions::new().resolved_algorithm().unwrap(),
+            Algorithm::Permuted
+        );
+    }
+
+    #[test]
+    fn profile_fingerprint_tracks_every_score_affecting_knob() {
         let fp = |p: &ComputeProfile| {
             let mut h = crate::checkpoint::Fnv64::new();
-            p.fingerprint_into(&mut h);
+            p.fingerprint_into(p.resolved_algorithm().unwrap(), &mut h);
             h.finish()
         };
-        // bit-identical knobs hash alike…
-        assert_eq!(fp(&base), fp(&base.simd(true)));
-        assert_eq!(fp(&base), fp(&base.certified_unchecked(true)));
-        // …score-affecting knobs do not
-        assert_ne!(fp(&base), fp(&base.algorithm(Algorithm::Permuted)));
+        let base = ComputeProfile::new();
+        let tiled = base.algorithm("hybrid-tiled".parse().unwrap());
+        assert_eq!(fp(&base), fp(&base.algorithm(Algorithm::Permuted)));
+        assert_ne!(fp(&base), fp(&tiled));
         assert_ne!(fp(&base), fp(&base.layout(Layout::Shifted)));
-        assert_ne!(fp(&base), fp(&base.tile(Tile::cubic(2))));
+        assert_ne!(fp(&tiled), fp(&tiled.tile(Tile::cubic(2))));
+        // a tile override on an untiled version changes nothing
+        assert_eq!(fp(&base), fp(&base.tile(Tile::cubic(2))));
     }
 
     #[test]
@@ -1235,15 +1124,8 @@ mod tests {
         for &alg in Algorithm::ALL {
             let reference = table(&p, alg);
             let mut f = FTable::new(reference.m(), reference.n(), reference.layout());
-            p.compute_serial_watched_range(
-                alg,
-                &mut f,
-                0,
-                reference.m(),
-                &Watch::none(),
-                KernelModes::build_default(),
-            )
-            .unwrap();
+            p.compute_serial_watched_range(alg, &mut f, 0, reference.m(), &Watch::none())
+                .unwrap();
             for (i1, j1, i2, j2) in reference.iter_cells().collect::<Vec<_>>() {
                 assert_eq!(
                     f.get(i1, j1, i2, j2),

@@ -26,6 +26,7 @@
 pub use tropical::triangular::Layout;
 
 use crate::error::BpMaxError;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -354,29 +355,34 @@ impl FTable {
         self.blocks[o][k] = v;
     }
 
-    /// Split a (taken) block into per-row mutable slices, outer row first —
-    /// the unit of fine-grain parallelism ("threads work on individual rows
-    /// of an inner triangle").
-    ///
-    /// Only [`Layout::Packed`] and [`Layout::Shifted`] rows tile the
-    /// storage contiguously; for [`Layout::Identity`] the leading slack of
-    /// each row is included in the previous row's slice tail, which is
-    /// harmless because kernels never index past `n − i2 − 1`... — to keep
-    /// it simple and safe this helper supports all layouts by splitting at
-    /// each row's start offset and handing out exactly the valid prefix.
-    pub fn rows_mut<'a>(&self, block: &'a mut [f32]) -> Vec<&'a mut [f32]> {
-        let mut out = Vec::with_capacity(self.n);
+    /// Split a (taken) block into contiguous bands of `rows` inner rows
+    /// each (the last band may be shorter), outer row first — the unit of
+    /// fine-grain parallelism ("threads work on individual rows of an
+    /// inner triangle"; a tiled order hands out whole `i2` tiles). Each
+    /// item is the band's row range and its storage, which starts at the
+    /// band's first row. Every layout stores its rows in ascending order,
+    /// so the bands partition the block (a bounding-box layout's slack
+    /// rides along inside them, never indexed).
+    pub fn row_bands_mut<'a>(
+        &self,
+        block: &'a mut [f32],
+        rows: usize,
+    ) -> Vec<(Range<usize>, &'a mut [f32])> {
+        let rows = rows.max(1);
+        let mut out = Vec::with_capacity(self.n.div_ceil(rows));
         let mut rest = block;
-        let mut consumed = 0usize;
-        for i2 in 0..self.n {
-            let start = self.inner_row_start(i2);
-            let len = self.n - i2;
-            let skip = start - consumed;
-            let (_, tail) = rest.split_at_mut(skip);
-            let (row, tail) = tail.split_at_mut(len);
-            out.push(row);
+        let mut lo = 0;
+        while lo < self.n {
+            let hi = (lo + rows).min(self.n);
+            let len = if hi < self.n {
+                self.inner_row_start(hi) - self.inner_row_start(lo)
+            } else {
+                rest.len()
+            };
+            let (band, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            out.push((lo..hi, band));
             rest = tail;
-            consumed = start + len;
+            lo = hi;
         }
         out
     }
@@ -530,28 +536,33 @@ mod tests {
     }
 
     #[test]
-    fn rows_mut_partitions_every_layout() {
+    fn row_bands_mut_partitions_every_layout() {
         for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
-            let t = FTable::new(1, 6, layout);
-            let mut block = vec![0.0f32; layout.storage_len(6)];
-            {
-                let rows = t.rows_mut(&mut block);
-                assert_eq!(rows.len(), 6);
-                for (i2, row) in rows.into_iter().enumerate() {
-                    assert_eq!(row.len(), 6 - i2, "{layout:?}");
-                    for (off, cell) in row.iter_mut().enumerate() {
-                        *cell = (i2 * 100 + i2 + off) as f32; // j2 = i2 + off
+            for rows in [1usize, 2, 4, 6, 7] {
+                let t = FTable::new(1, 6, layout);
+                let mut block = vec![0.0f32; layout.storage_len(6)];
+                let mut next = 0;
+                for (range, band) in t.row_bands_mut(&mut block, rows) {
+                    assert_eq!(range.start, next, "{layout:?} rows={rows}");
+                    assert!(range.len() <= rows && !range.is_empty());
+                    next = range.end;
+                    let base = t.inner_row_start(range.start);
+                    for i2 in range {
+                        for j2 in i2..6 {
+                            band[t.inner(i2, j2) - base] = (i2 * 100 + j2) as f32;
+                        }
                     }
                 }
-            }
-            // verify through the scalar API
-            for i2 in 0..6 {
-                for j2 in i2..6 {
-                    assert_eq!(
-                        block[t.inner(i2, j2)],
-                        (i2 * 100 + j2) as f32,
-                        "{layout:?} ({i2},{j2})"
-                    );
+                assert_eq!(next, 6, "{layout:?} rows={rows}");
+                // verify through the scalar API
+                for i2 in 0..6 {
+                    for j2 in i2..6 {
+                        assert_eq!(
+                            block[t.inner(i2, j2)],
+                            (i2 * 100 + j2) as f32,
+                            "{layout:?} rows={rows} ({i2},{j2})"
+                        );
+                    }
                 }
             }
         }

@@ -104,8 +104,10 @@ pub const MAGIC: &[u8; 8] = b"BPMXSERV";
 /// v2 widened the stats reply with the cache-eviction and read-timeout
 /// counters. v3 added the overload counters (inflight / shed / drained
 /// / panicked) to the stats reply, the [`RejectReason::Overloaded`]
-/// load-shedding rejection, and the per-request deadline field.
-pub const VERSION: u32 = 3;
+/// load-shedding rejection, and the per-request deadline field. v4
+/// dropped the compute profile's bounds and SIMD override fields (the
+/// kernel modes they selected no longer exist).
+pub const VERSION: u32 = 4;
 
 /// Ceiling on a single frame's payload: no request needs more, and the
 /// reader must never let a corrupted length field drive allocation.
@@ -171,7 +173,7 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// A request with the default (champion) profile and no caps.
+    /// A request with the default profile and no caps.
     pub fn new(seq1: RnaSeq, seq2: RnaSeq, model: ScoringModel) -> Self {
         SolveRequest {
             seq1,
@@ -482,23 +484,13 @@ fn take_bool(cur: &mut Cursor<'_>, what: &str) -> Result<bool, BpMaxError> {
 }
 
 fn put_profile(buf: &mut Vec<u8>, profile: &ComputeProfile) {
-    let (alg, tile, layout, bounds, simd) = profile.parts();
+    let (alg, tile, layout) = profile.parts();
     put_algorithm(buf, alg);
     put_opt(buf, tile, put_tile);
     put_opt(buf, layout, |b, l| put_u8(b, layout_code(l)));
-    put_opt(buf, bounds, |b, m| {
-        put_u8(
-            b,
-            u8::from(m == crate::kernels::BoundsMode::CertifiedUnchecked),
-        );
-    });
-    put_opt(buf, simd, |b, m| {
-        put_u8(b, u8::from(m == crate::kernels::SimdMode::LaneArray));
-    });
 }
 
 fn take_profile(cur: &mut Cursor<'_>) -> Result<ComputeProfile, BpMaxError> {
-    use crate::kernels::{BoundsMode, SimdMode};
     let alg = take_algorithm(cur)?;
     let tile = take_presence(cur, "profile tile override")?
         .then(|| take_tile(cur, "profile tile"))
@@ -509,25 +501,7 @@ fn take_profile(cur: &mut Cursor<'_>) -> Result<ComputeProfile, BpMaxError> {
     } else {
         None
     };
-    let bounds = if take_presence(cur, "profile bounds override")? {
-        Some(if take_bool(cur, "profile bounds mode")? {
-            BoundsMode::CertifiedUnchecked
-        } else {
-            BoundsMode::Checked
-        })
-    } else {
-        None
-    };
-    let simd = if take_presence(cur, "profile simd override")? {
-        Some(if take_bool(cur, "profile simd mode")? {
-            SimdMode::LaneArray
-        } else {
-            SimdMode::Scalar
-        })
-    } else {
-        None
-    };
-    Ok(ComputeProfile::from_parts(alg, tile, layout, bounds, simd))
+    Ok(ComputeProfile::from_parts(alg, tile, layout))
 }
 
 fn header(kind: u8) -> Vec<u8> {
@@ -1516,6 +1490,15 @@ impl Server {
             (server, request) => Some(server.unwrap_or(u64::MAX).min(request.unwrap_or(u64::MAX))),
         };
 
+        // An invalid profile (a zero tile dimension) is refused before
+        // the cache: it has no fingerprint of its own, so it must never
+        // be answered from another configuration's entry.
+        if let Err(e) = req.profile.resolved_algorithm() {
+            return Response::Error {
+                detail: e.to_string(),
+            };
+        }
+
         // Cache first: a warm hit answers without touching the solver,
         // the pool, or the in-flight ledger — it holds no F-table bytes
         // and no slot. The key is the problem content-id crossed with
@@ -2041,9 +2024,7 @@ mod tests {
                         k2: 2,
                         j2: 2,
                     })
-                    .layout(Layout::Shifted)
-                    .certified_unchecked(true)
-                    .simd(false),
+                    .layout(Layout::Shifted),
             )
             .mem_budget(1 << 20)
             .degrade(true)
@@ -2138,11 +2119,44 @@ mod tests {
             base,
             cache_fingerprint(&profile.algorithm(Algorithm::Baseline), None, false)
         );
-        // bounds/simd are bit-identical paths: same key
-        assert_eq!(
-            base,
-            cache_fingerprint(&profile.certified_unchecked(true).simd(true), None, false)
+    }
+
+    #[test]
+    fn previous_wire_version_is_a_typed_error() {
+        let mut wire = encode_request(&Request::Solve(request()));
+        wire[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+        let err = decode_request(&wire).unwrap_err();
+        assert!(matches!(err, BpMaxError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("format version 3"), "{err}");
+    }
+
+    #[test]
+    fn invalid_tile_is_never_served_from_another_profiles_cache_entry() {
+        let server = Server::new(ServerConfig::default()).unwrap();
+        let bad = request().profile(
+            ComputeProfile::new()
+                .algorithm(Algorithm::HybridTiled {
+                    tile: Tile::DEFAULT,
+                })
+                .tile(Tile {
+                    i2: 0,
+                    k2: 4,
+                    j2: 4,
+                }),
         );
+        let refused = |resp: Response| match resp {
+            Response::Error { detail } => assert!(detail.contains("0x4x4"), "{detail}"),
+            other => panic!("invalid tile: {other:?}"),
+        };
+        refused(server.handle(&Request::Solve(bad.clone())));
+        let permuted = request().profile(ComputeProfile::new().algorithm(Algorithm::Permuted));
+        match server.handle(&Request::Solve(permuted)) {
+            Response::Solved {
+                cache_hit: false, ..
+            } => {}
+            other => panic!("permuted solve: {other:?}"),
+        }
+        refused(server.handle(&Request::Solve(bad)));
     }
 
     #[test]

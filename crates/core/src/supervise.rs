@@ -22,7 +22,7 @@
 //!   poll at per-diagonal / per-block granularity. Cancellation is one
 //!   relaxed atomic load per checkpoint; the deadline clock is only read
 //!   every `Watch::PERIOD` checkpoints, so supervision overhead on the
-//!   champion kernel stays far below the bench gate's noise floor (a
+//!   production kernel stays far below the bench gate's noise floor (a
 //!   checkpoint guards `Θ(M²N³)` of work on the largest diagonal).
 //! * [`Outcome`] — the per-problem verdict the batch engine aggregates
 //!   (`Ok | Degraded | Failed | Cancelled | TimedOut`).

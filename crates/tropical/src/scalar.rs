@@ -23,25 +23,12 @@ pub fn mp_sum(xs: &[f32]) -> f32 {
 /// scalar broadcast, one load from each of `x` and `y`, one store to `y`;
 /// 2 FLOPs per element, arithmetic intensity `2 / (3 × 4 B) = 1/6` FLOP/byte.
 ///
-/// Without the `simd` feature this is [`mp_axpy_scalar`], whose loop body
-/// LLVM auto-vectorizes to `vaddps` + `vmaxps`; with the feature it routes
-/// through the explicit lane-array kernel [`crate::simd::mp_axpy_lanes`].
-/// The two are bit-identical for every input (same per-element expression;
-/// pinned by `tests/simd_identity.rs`), so the feature is purely a
-/// performance default, never a semantic switch.
+/// The loop body LLVM auto-vectorizes to `vaddps` + `vmaxps`; it is also
+/// the reference implementation the explicit lane-array kernels of
+/// [`crate::simd`] are tested bit-identical against
+/// (`tests/simd_identity.rs`).
 #[inline]
 pub fn mp_axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    #[cfg(feature = "simd")]
-    crate::simd::mp_axpy_lanes(a, x, y);
-    #[cfg(not(feature = "simd"))]
-    mp_axpy_scalar(a, x, y);
-}
-
-/// The plain scalar loop behind [`mp_axpy`] — always compiled, always
-/// available as the reference implementation the SIMD kernels are tested
-/// bit-identical against.
-#[inline]
-pub fn mp_axpy_scalar(a: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "mp_axpy: slice lengths differ");
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi = (a + xi).max(*yi);

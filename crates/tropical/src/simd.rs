@@ -109,11 +109,11 @@ pub fn mp_axpy4(a: [f32; 4], x: [&[f32]; 4], y: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::mp_axpy_scalar;
+    use crate::scalar::mp_axpy;
 
     fn ref_axpy4(a: [f32; 4], x: [&[f32]; 4], y: &mut [f32]) {
         for (ai, xi) in a.iter().zip(x.iter()) {
-            mp_axpy_scalar(*ai, xi, y);
+            mp_axpy(*ai, xi, y);
         }
     }
 
@@ -123,7 +123,7 @@ mod tests {
             let x: Vec<f32> = (0..n).map(|i| (i as f32) * 0.25 - 3.0).collect();
             let mut y: Vec<f32> = (0..n).map(|i| 2.0 - (i as f32) * 0.5).collect();
             let mut expect = y.clone();
-            mp_axpy_scalar(1.5, &x, &mut expect);
+            mp_axpy(1.5, &x, &mut expect);
             mp_axpy_lanes(1.5, &x, &mut y);
             assert_eq!(y, expect, "n={n}");
         }
@@ -134,7 +134,7 @@ mod tests {
         let x = [f32::NEG_INFINITY, 1.0, f32::NEG_INFINITY, 2.0];
         let mut y = [0.0f32, f32::NEG_INFINITY, f32::NEG_INFINITY, 10.0];
         let mut expect = y;
-        mp_axpy_scalar(3.0, &x, &mut expect);
+        mp_axpy(3.0, &x, &mut expect);
         mp_axpy_lanes(3.0, &x, &mut y);
         assert_eq!(y.map(f32::to_bits), expect.map(f32::to_bits));
         // -inf broadcast is the identity, even against -inf lanes.

@@ -1,6 +1,6 @@
 //! SIMD/scalar bit-identity of the `mp_axpy`-family kernels.
 //!
-//! The `simd` feature and the `SimdReg` solve path are only sound if the
+//! The `SimdReg` register-tiling kernel is only sound if the
 //! lane-array kernels are *bit*-identical to the scalar loops — not merely
 //! close — because every solver mode is pinned bit-identical to the
 //! memoized oracle. These properties drive the kernels with adversarial
@@ -10,7 +10,7 @@
 //! every remainder class of the lane width.
 
 use proptest::prelude::*;
-use tropical::scalar::{mp_axpy, mp_axpy_scalar};
+use tropical::scalar::mp_axpy;
 use tropical::simd::{mp_axpy4, mp_axpy_lanes, LANES};
 
 /// Adversarial score values: finite smalls, `-∞`, `i32`-extreme
@@ -54,25 +54,8 @@ proptest! {
         let mut y_simd = vals[n..].to_vec();
         let mut y_ref = y_simd.clone();
         mp_axpy_lanes(a, x, &mut y_simd);
-        mp_axpy_scalar(a, x, &mut y_ref);
+        mp_axpy(a, x, &mut y_ref);
         prop_assert_eq!(bits(&y_simd), bits(&y_ref));
-    }
-
-    #[test]
-    fn dispatching_axpy_bit_identical_to_scalar(
-        a in value(),
-        n in len(),
-        seed in any::<u64>(),
-    ) {
-        // Whatever the `simd` feature selected, the public entry point
-        // must match the scalar reference bit for bit.
-        let vals = materialize(seed, 2 * n);
-        let x = &vals[..n];
-        let mut y = vals[n..].to_vec();
-        let mut y_ref = y.clone();
-        mp_axpy(a, x, &mut y);
-        mp_axpy_scalar(a, x, &mut y_ref);
-        prop_assert_eq!(bits(&y), bits(&y_ref));
     }
 
     #[test]
@@ -91,7 +74,7 @@ proptest! {
         let mut y_ref = y0.to_vec();
         mp_axpy4(a, [x0, x1, x2, x3], &mut y_simd);
         for (ai, xi) in a.iter().zip([x0, x1, x2, x3]) {
-            mp_axpy_scalar(*ai, xi, &mut y_ref);
+            mp_axpy(*ai, xi, &mut y_ref);
         }
         prop_assert_eq!(bits(&y_simd), bits(&y_ref));
     }
